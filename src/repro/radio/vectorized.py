@@ -10,8 +10,10 @@ candidate walk into a handful of numpy kernels.
 
 Pinned equivalence
 ------------------
-The vectorized medium is **bit-for-bit identical** to the scalar grid
-and brute-force media (``tests/test_medium_grid_equivalence.py`` and
+The vectorized medium is the production backend (``build_world`` builds
+no other), and it is **bit-for-bit identical** to the scalar all-radios
+scan of its base class :class:`Medium`, the reference it is tested
+against (``tests/test_medium_grid_equivalence.py`` and
 ``tests/test_vectorized_medium.py`` pin this):
 
 * the in-reach test reproduces the scalar ``math.hypot(dx, dy) < reach``
@@ -27,16 +29,13 @@ and brute-force media (``tests/test_medium_grid_equivalence.py`` and
   through the same scalar ``PropagationModel.reception_succeeds`` call
   (same RNG stream, same draw order), so stats, observer callbacks,
   obs spans, delivery order, and every downstream protocol event match
-  the scalar media exactly.
+  the scalar medium exactly.
 
 Position contract
 -----------------
-The arrays are authoritative: every move must arrive through
-:meth:`update_position` (``Radio``'s position setter — i.e. every
-mobility model — already does this).  The scalar media additionally
-re-poll ``get_position`` per candidate, which forgives out-of-band
-position mutation; the vectorized medium does not, and code mutating
-positions behind the medium's back is outside the equivalence contract.
+The arrays are authoritative: every move arrives through
+:meth:`update_position`, which ``Radio``'s position setter calls — the
+path every mobility model moves nodes through.
 
 Checkpointing: the arrays pickle with the medium (trimmed to the live
 radio count so snapshot bytes never depend on allocator history), so
@@ -75,16 +74,15 @@ class VectorizedMedium(Medium):
     """Medium backend resolving receptions with numpy mask arithmetic.
 
     Drop-in pinned-equivalent replacement for :class:`Medium` — same
-    constructor (minus ``use_grid``: there is no grid to index), same
-    attach/transmit/observer API, same stats, same event stream.
+    constructor, same attach/transmit/observer API, same stats, same
+    event stream.
     """
 
     def __init__(self, sim: Simulator, rng: RandomStream,
                  propagation: Optional[PropagationModel] = None,
                  bitrate_bps: float = 1_000_000.0,
                  preamble_s: float = 192e-6):
-        super().__init__(sim, rng, propagation, bitrate_bps, preamble_s,
-                         use_grid=False)
+        super().__init__(sim, rng, propagation, bitrate_bps, preamble_s)
         self._count = 0
         self._capacity = _INITIAL_CAPACITY
         self._ids = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
@@ -168,7 +166,7 @@ class VectorizedMedium(Medium):
             # The scalar ``_resolve_reception`` tail, inlined over the
             # plan (one function call per delivery is measurable at this
             # scale): stats, spans, observers, RNG draws, and the
-            # handler call are byte-identical to the scalar media.
+            # handler call are byte-identical to the scalar medium.
             radios = self._radios
             stats = self.stats
             observers = self._observers

@@ -27,7 +27,6 @@ from ..core.config import ProtocolConfig
 from ..core.node import NodeStackConfig
 from ..obs import ObsConfig
 from ..sim.experiment import (
-    MEDIA,
     SCHEMES,
     TIERS,
     ExperimentConfig,
@@ -100,7 +99,6 @@ class SweepSpec:
     gossip_period: float = 1.0
     scheme: str = "hmac"
     tier: str = "packet"
-    medium: str = "grid"
     observe: bool = False
     # Rival-protocol knob overrides (fixed, as opposed to swept).
     paths_required: Optional[int] = None
@@ -128,7 +126,6 @@ class SweepSpec:
         _require(self.rule in _RULES, f"unknown rule {self.rule!r}")
         _require(self.scheme in SCHEMES, f"unknown scheme {self.scheme!r}")
         _require(self.tier in TIERS, f"unknown tier {self.tier!r}")
-        _require(self.medium in MEDIA, f"unknown medium {self.medium!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -152,11 +149,14 @@ class SweepSpec:
             kwargs["values"] = _int_list(payload.pop("values"), "values")
         if "seeds" in payload:
             kwargs["seeds"] = _int_list(payload.pop("seeds"), "seeds")
+        # Specs written before the medium backend was fixed (jobs still
+        # queued from then) carry a "medium" key.  It never changed what
+        # a run computes, so it is dropped instead of rejected.
+        payload.pop("medium", None)
         simple = ("param", "n", "mute", "tx_range", "degree", "mobility",
                   "channel", "messages", "interval", "warmup", "drain",
-                  "rule", "gossip_period", "scheme", "tier", "medium",
-                  "observe", "paths_required", "suppression_threshold",
-                  "cpa_k")
+                  "rule", "gossip_period", "scheme", "tier", "observe",
+                  "paths_required", "suppression_threshold", "cpa_k")
         for name in simple:
             if name in payload:
                 kwargs[name] = payload.pop(name)
@@ -187,8 +187,7 @@ class SweepSpec:
             "interval": self.interval, "warmup": self.warmup,
             "drain": self.drain, "rule": self.rule,
             "gossip_period": self.gossip_period, "scheme": self.scheme,
-            "tier": self.tier, "medium": self.medium,
-            "observe": self.observe,
+            "tier": self.tier, "observe": self.observe,
         }
         if self.param is not None:
             out["param"] = self.param
@@ -239,7 +238,6 @@ class SweepSpec:
                 message_interval=self.interval,
                 warmup=self.warmup, drain=self.drain,
                 signature_scheme=self.scheme, tier=self.tier,
-                medium=self.medium,
                 observe=ObsConfig() if self.observe else None,
                 rivals=rivals)
         except ValueError as exc:

@@ -96,11 +96,10 @@ def _jsonable(value: Any) -> Any:
 
 
 #: Fields excluded from the key unconditionally.  These are *execution*
-#: knobs: they change how a run executes — snapshot cadence, what it
-#: records about itself, or which (pinned-equivalent) candidate-indexing
-#: backend resolves receptions — never what it computes, so every setting
-#: must land on the same campaign record key.
-_EXECUTION_FIELDS = ("checkpoint", "observe", "medium")
+#: knobs: they change how a run executes — snapshot cadence, or what it
+#: records about itself — never what it computes, so every setting must
+#: land on the same campaign record key.
+_EXECUTION_FIELDS = ("checkpoint", "observe")
 
 #: Fields elided from the key only at their default value.  Non-default
 #: settings (the fluid tier, overridden rival knobs) legitimately change
@@ -112,10 +111,9 @@ _DEFAULT_ELIDED = {"tier": "packet", "rivals": None}
 def config_key(config: Any) -> str:
     """Stable content hash identifying one configuration.
 
-    Execution knobs (``checkpoint``, ``observe``, ``medium``) are
-    excluded: how often a run snapshots itself, what it records about
-    itself, or which equivalent medium backend it runs on does not change
-    what it simulates, so a checkpointed, observed, or vectorized run
+    Execution knobs (``checkpoint``, ``observe``) are excluded: how
+    often a run snapshots itself or what it records about itself does
+    not change what it simulates, so a checkpointed or observed run
     lands on the same record key as the plain run it replaces.  Newer
     semantic fields (``tier``, ``rivals``) are elided at their defaults
     so pre-existing keys stay stable.

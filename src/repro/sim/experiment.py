@@ -78,7 +78,7 @@ from .checkpoint import (
 __all__ = ["ExperimentConfig", "ExperimentResult", "ExperimentWorld",
            "RivalKnobs", "run_experiment", "resume_experiment",
            "build_world", "finish_world", "run_many", "pool_worker_init",
-           "PROTOCOLS", "SCHEMES", "MEDIA", "TIERS"]
+           "PROTOCOLS", "SCHEMES", "TIERS"]
 
 
 def pool_worker_init() -> None:
@@ -101,13 +101,6 @@ def pool_worker_init() -> None:
 PROTOCOLS = ("byzcast", "flooding", "overlay_only", "multi_overlay")
 
 SCHEMES = ("hmac", "dsa")
-
-#: Medium backends.  All three are pinned bit-for-bit equivalent
-#: (``tests/test_medium_grid_equivalence.py``), so the choice is an
-#: execution knob: "grid" (scalar + spatial hash), "brute" (scalar
-#: all-radios scan), "vectorized" (numpy mask arithmetic — the fast path
-#: at n >= ~500).
-MEDIA = ("grid", "brute", "vectorized")
 
 #: Simulation tiers: "packet" runs the discrete-event simulator;
 #: "fluid" evaluates the calibrated mean-field model
@@ -186,10 +179,6 @@ class ExperimentConfig:
     #: does without changing what the run does.  The result then carries
     #: lifecycle spans and virtual-time metric series in ``trace``.
     observe: Optional[ObsConfig] = None
-    #: Medium backend (one of :data:`MEDIA`).  All backends are pinned
-    #: bit-for-bit equivalent, so this is an execution knob excluded from
-    #: the campaign content hash — pick "vectorized" for large n.
-    medium: str = "grid"
     #: Simulation tier (one of :data:`TIERS`).  "fluid" swaps the
     #: discrete-event run for the calibrated mean-field model — a
     #: different (approximate) computation, so non-default tiers get
@@ -212,9 +201,6 @@ class ExperimentConfig:
             raise ValueError("warmup/drain must be non-negative")
         if self.message_count < 1 and self.workload is None:
             raise ValueError("need at least one message")
-        if self.medium not in MEDIA:
-            raise ValueError(
-                f"unknown medium {self.medium!r}; choose from {MEDIA}")
         if self.tier not in TIERS:
             raise ValueError(
                 f"unknown tier {self.tier!r}; choose from {TIERS}")
@@ -476,8 +462,9 @@ def build_world(config: ExperimentConfig) -> ExperimentWorld:
 
     positions = _positions(scenario, streams, correct)
     area = Area(scenario.side(), scenario.side())
-    propagation = _propagation(scenario)
-    medium = _make_medium(config, sim, streams, propagation)
+    medium = VectorizedMedium(sim, streams.stream("medium"),
+                              _propagation(scenario),
+                              bitrate_bps=scenario.bitrate_bps)
     energy = EnergyModel(sim, medium)
     directory = KeyDirectory(_scheme(config))
 
@@ -748,22 +735,6 @@ def _positions(scenario: ScenarioConfig, streams: StreamFactory,
         return line_positions(
             scenario.n, scenario.line_spacing_factor * scenario.tx_range)
     raise AssertionError(scenario.placement)
-
-
-def _make_medium(config: ExperimentConfig, sim: Simulator,
-                 streams: StreamFactory, propagation) -> Medium:
-    """Construct the configured medium backend (same RNG stream for all
-    three, so switching backends never desynchronises a run)."""
-    scenario = config.scenario
-    rng = streams.stream("medium")
-    if config.medium == "vectorized":
-        return VectorizedMedium(sim, rng, propagation,
-                                bitrate_bps=scenario.bitrate_bps)
-    # "grid" passes use_grid=None so Medium.DEFAULT_USE_GRID (which the
-    # equivalence tests monkeypatch globally) stays authoritative.
-    use_grid = None if config.medium == "grid" else False
-    return Medium(sim, rng, propagation, bitrate_bps=scenario.bitrate_bps,
-                  use_grid=use_grid)
 
 
 def _propagation(scenario: ScenarioConfig):

@@ -9,9 +9,9 @@ this whole contract for free:
   payloads.
 * **Liveness**: full delivery with ``mute_tolerance(n)`` Byzantine-mute
   nodes on topologies whose correct subgraph supports it.
-* **Determinism matrix**: repeat runs, serial vs worker pool, grid vs
-  brute-force medium indexing, interrupted-and-resumed checkpoints —
-  all byte-identical at the campaign-record level.
+* **Determinism matrix**: repeat runs, serial vs worker pool, vectorized
+  vs reference-scan medium, interrupted-and-resumed checkpoints — all
+  byte-identical at the campaign-record level.
 * **Chaos**: a crash/restart/mute timeline applies cleanly (the adapter
   honours the controller's node contract) and stays deterministic.
 """
@@ -42,7 +42,7 @@ from tests.arena.conftest import (
     canonical,
     canonical_sans_config,
 )
-from tests.helpers import fault_schedules
+from tests.helpers import fault_schedules, reference_medium
 
 pytestmark = pytest.mark.arena
 
@@ -140,16 +140,11 @@ def test_worker_pool_matches_serial(cached_run):
 
 
 def test_grid_and_brute_medium_agree(fault_free_run):
-    from repro.radio.medium import Medium
-
+    """The default (vectorized) run equals a run on the reference scan."""
     config, result = fault_free_run
-    saved = Medium.DEFAULT_USE_GRID
-    Medium.DEFAULT_USE_GRID = not saved
-    try:
-        flipped = run_experiment(config)
-    finally:
-        Medium.DEFAULT_USE_GRID = saved
-    assert canonical(config, flipped) == canonical(config, result)
+    with reference_medium():
+        reference = run_experiment(config)
+    assert canonical(config, reference) == canonical(config, result)
 
 
 def test_checkpoint_resume_matches_uninterrupted(fault_free_run, tmp_path):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.node import NetworkNode, NodeStackConfig
@@ -20,6 +23,16 @@ from repro.fd.verbose import VerboseConfig, VerboseFailureDetector
 from repro.radio.geometry import Position
 from repro.radio.medium import Medium
 from repro.radio.packet import BROADCAST, Packet
+
+
+@contextmanager
+def reference_medium() -> Iterator[None]:
+    """Experiments built inside the block run on the scalar reference
+    :class:`Medium` (the all-radios scan) instead of the production
+    ``VectorizedMedium`` that ``build_world`` constructs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.sim.experiment.VectorizedMedium", Medium)
+        yield
 
 
 class FakeTransport:

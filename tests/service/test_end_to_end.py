@@ -174,6 +174,45 @@ class TestCheckpointResume:
         assert finished.executed == 2
 
 
+class TestUpgrade:
+    #: A job file as persisted before the medium backend was fixed: every
+    #: submitted spec then carried a ``"medium"`` key.
+    LEGACY_JOB = {
+        "cache_hits": 0, "cancel_requested": False, "error": None,
+        "executed": 0, "id": "j000001", "keys": [], "submitted": 1,
+        "total": 0,
+        "spec": {
+            "channel": "disk", "degree": 8.0, "drain": 6.0,
+            "gossip_period": 1.0, "interval": 1.0, "medium": "grid",
+            "messages": 1, "mobility": "static", "mute": 0, "n": 10,
+            "observe": False, "param": "mute", "protocols": ["byzcast"],
+            "rule": "cds", "scheme": "hmac", "seeds": [1, 2],
+            "tier": "packet", "tx_range": 100.0, "values": [0, 1],
+            "warmup": 4.0,
+        },
+    }
+
+    @pytest.mark.parametrize("state", ["queued", "running"])
+    def test_legacy_job_with_medium_key_runs(self, tmp_path, state):
+        directory = tmp_path / "svc"
+        (directory / "jobs").mkdir(parents=True)
+        job_file = directory / "jobs" / "j000001.json"
+        job_file.write_text(json.dumps(dict(self.LEGACY_JOB, state=state)))
+
+        service = CampaignService(str(directory))
+        assert service.run_until_idle() == 1
+        job = service.queue.get("j000001")
+        assert job.state == "done", job.error
+        assert job.executed == 4
+        spec = {k: v for k, v in self.LEGACY_JOB["spec"].items()
+                if k != "medium"}
+        assert job.keys == [config_key(config) for config
+                            in SweepSpec.from_dict(spec).expand()]
+        # The keys the job had before the field was removed.
+        assert job.keys == ["279179026ee1ecc5", "4b15cc8ca8b15490",
+                            "4df3d92ed6e94520", "e5ccc20d71b5cc54"]
+
+
 class TestFailureAndCancel:
     def test_unsatisfiable_spec_fails_cleanly(self, service):
         job = service.submit({"param": "n", "values": [1]})

@@ -92,6 +92,11 @@ class TestJobRoutes:
             lambda: post(base, "/api/jobs", {"bogus_knob": 1}))
         assert code == 400
         assert "unknown spec keys" in payload["error"]
+        # The tolerated legacy "medium" key does not mask other keys.
+        code, payload = error_of(lambda: post(
+            base, "/api/jobs", {"medium": "grid", "bogus_knob": 1}))
+        assert code == 400
+        assert "unknown spec keys: ['bogus_knob']" in payload["error"]
 
     def test_submit_invalid_json_400(self, server):
         _, base = server

@@ -21,6 +21,16 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(SpecError, match="unknown spec keys"):
             SweepSpec.from_dict({"protocl": "byzcast"})
+        with pytest.raises(SpecError,
+                           match=r"unknown spec keys: \['medum'\]"):
+            SweepSpec.from_dict({"medium": "grid", "medum": "grid"})
+
+    def test_legacy_medium_key_is_dropped(self):
+        # Specs persisted before the medium backend was fixed carry it.
+        assert SweepSpec.from_dict({"medium": "grid"}) == \
+            SweepSpec.from_dict({})
+        assert "medium" not in SweepSpec.from_dict(
+            {"medium": "vectorized"}).to_dict()
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SpecError, match="unknown protocol"):

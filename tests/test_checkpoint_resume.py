@@ -17,12 +17,12 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 
 from repro.chaos import FaultEvent, FaultSchedule, OracleConfig
-from repro.radio.medium import Medium
 from repro.sim import (
     Campaign,
     CheckpointConfig,
@@ -45,6 +45,8 @@ from repro.sim.checkpoint import (
 )
 from repro.tracing import TraceRecorder
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
+
+from tests.helpers import reference_medium
 
 pytestmark = pytest.mark.checkpoint
 
@@ -148,18 +150,14 @@ def test_resume_equivalence_on_both_media(tmp_path):
     ck = replace(config, checkpoint=CheckpointConfig(
         every=2.5, directory=str(tmp_path)))
     outcomes = {}
-    for use_grid in (True, False):
-        saved = Medium.DEFAULT_USE_GRID
-        Medium.DEFAULT_USE_GRID = use_grid
-        try:
+    for reference in (False, True):
+        with reference_medium() if reference else nullcontext():
             baseline = canonical(config, run_experiment(config))
             interrupt(ck, 7.3, str(tmp_path))
             resumed = canonical(ck, run_experiment(ck))
-        finally:
-            Medium.DEFAULT_USE_GRID = saved
         assert resumed == baseline
-        outcomes[use_grid] = resumed
-    # The two index implementations also agree with each other.
+        outcomes[reference] = resumed
+    # The vectorized and reference media also agree with each other.
     assert outcomes[True] == outcomes[False]
 
 

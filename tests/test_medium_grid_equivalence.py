@@ -1,18 +1,19 @@
-"""Medium-backend equivalence suite: grid vs brute force vs vectorized.
+"""Medium equivalence suite: production (vectorized) vs reference scan.
 
-The spatial hash grid (`repro.radio.grid`) replaces the medium's
-all-radios scan with a cell query, and the vectorized medium
-(`repro.radio.vectorized`) replaces the per-radio resolution loop with
-numpy mask arithmetic.  Either is only an optimisation if it is
-*invisible*: every scenario must produce bit-for-bit identical physical
-events, stats, and RNG consumption on all three backends.  This suite
-pins that guarantee over seeded random placements, mobility traces, and
-collision-heavy workloads (> 20 scenarios total, each run three ways).
+The vectorized medium (`repro.radio.vectorized`), the only backend
+``build_world`` constructs, replaces the scalar medium's per-radio
+resolution loop with numpy mask arithmetic.  That is only an
+optimisation if it is *invisible*: every scenario must produce
+bit-for-bit identical physical events, stats, and RNG consumption on
+the vectorized medium and on the scalar all-radios scan it is pinned
+against.  This suite pins that guarantee over seeded random placements,
+mobility traces, and collision-heavy workloads (> 20 scenarios total,
+each run on both backends).
 
 The scenarios drive the medium directly (raw ``attach`` / ``transmit`` /
 ``update_position``) so the comparison covers the exact layers the
-backends changed; a final set of tests re-runs the full experiment stack
-on each backend and compares whole ``ExperimentResult`` objects.
+backends differ in; a final set of tests re-runs the full experiment
+stack on each backend and compares whole ``ExperimentResult`` objects.
 """
 
 import dataclasses
@@ -30,13 +31,14 @@ from repro.radio.vectorized import VectorizedMedium
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
+from tests.helpers import reference_medium
+
 SIDE = 600.0
 
 #: Constructor for each medium backend under test.
 MEDIUM_KINDS = {
-    "grid": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=True),
-    "brute": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=False),
-    "vectorized": lambda sim, rng, prop: VectorizedMedium(sim, rng, prop),
+    "brute": Medium,
+    "vectorized": VectorizedMedium,
 }
 
 
@@ -69,15 +71,8 @@ def _scenario_events(seed, n, *, heavy, mobile):
 
 def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
                  shadowing=False):
-    """Run one generated scenario; return (event log, stats).
-
-    ``medium_kind`` is a :data:`MEDIUM_KINDS` key, or (backwards
-    compatible) a bool selecting grid/brute.
-    """
-    if medium_kind is True:
-        medium_kind = "grid"
-    elif medium_kind is False:
-        medium_kind = "brute"
+    """Run one generated scenario on one :data:`MEDIUM_KINDS` backend;
+    return (event log, stats)."""
     positions, ranges, transmissions, moves = _scenario_events(
         seed, n, heavy=heavy, mobile=mobile)
     sim = Simulator()
@@ -119,13 +114,12 @@ def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
 
 
 def assert_equivalent(seed, **kwargs):
-    log_grid, stats_grid = run_scenario(seed, "grid", **kwargs)
-    for kind in ("brute", "vectorized"):
-        log_other, stats_other = run_scenario(seed, kind, **kwargs)
-        assert log_other == log_grid, kind
-        assert stats_other == stats_grid, kind
-    assert stats_grid.transmissions > 0
-    assert stats_grid.deliveries > 0
+    log_brute, stats_brute = run_scenario(seed, "brute", **kwargs)
+    log_vec, stats_vec = run_scenario(seed, "vectorized", **kwargs)
+    assert log_vec == log_brute
+    assert stats_vec == stats_brute
+    assert stats_brute.transmissions > 0
+    assert stats_brute.deliveries > 0
 
 
 class TestGridEquivalence:
@@ -141,48 +135,25 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_collision_heavy(self, seed):
-        log, stats = run_scenario(200 + seed, True, n=24, heavy=True)
+        log, stats = run_scenario(200 + seed, "brute", n=24, heavy=True)
         assert stats.collisions + stats.half_duplex_losses > 0
         assert_equivalent(200 + seed, n=24, heavy=True)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shadowing_consumes_identical_rng(self, seed):
         # LogNormalShadowing draws from the medium RNG on every in-reach
-        # candidate; a superset mismatch would desynchronise the stream.
+        # candidate; a candidate-set mismatch would desynchronise the stream.
         assert_equivalent(300 + seed, n=24, mobile=True, shadowing=True)
-
-    def test_grid_candidates_match_brute_force_after_range_filter(self):
-        positions, ranges, _, _ = _scenario_events(7, 40, heavy=False,
-                                                   mobile=False)
-        sim = Simulator()
-        medium = Medium(sim, RandomStream(7), UnitDisk(), use_grid=True)
-        for i in range(40):
-            medium.attach(i, (lambda i=i: positions[i]), ranges[i],
-                          lambda packet: None)
-        rng = random.Random(99)
-        for _ in range(50):
-            sender = rng.randrange(40)
-            origin = positions[sender]
-            reach = ranges[sender]
-            exact = sorted(i for i in range(40)
-                           if origin.within(positions[i], reach))
-            candidates = medium._grid.candidates(origin, reach)
-            assert set(candidates) >= set(exact)
-            assert candidates == sorted(candidates)
-            filtered = [i for i in candidates
-                        if origin.within(positions[i], reach)]
-            assert filtered == exact
 
 
 class TestExperimentLevelEquivalence:
-    """The full stack (MAC, protocol, mobility) with the grid globally
-    disabled must reproduce grid results exactly."""
+    """The full stack (MAC, protocol, mobility) run on the reference scan
+    must reproduce the production (vectorized) results exactly."""
 
     FAST = dict(message_count=2, message_interval=1.0, warmup=4.0,
                 drain=6.0)
 
-    def _run(self, monkeypatch, use_grid, **scenario_kwargs):
-        monkeypatch.setattr(Medium, "DEFAULT_USE_GRID", use_grid)
+    def _run(self, **scenario_kwargs):
         config = ExperimentConfig(
             scenario=ScenarioConfig(n=14, seed=5, **scenario_kwargs),
             **self.FAST)
@@ -190,22 +161,23 @@ class TestExperimentLevelEquivalence:
         # allowed to differ between the two medium implementations.
         return dataclasses.replace(run_experiment(config), runtime=None)
 
-    def test_static_experiment_identical(self, monkeypatch):
-        assert (self._run(monkeypatch, True)
-                == self._run(monkeypatch, False))
+    def _run_reference(self, **scenario_kwargs):
+        with reference_medium():
+            return self._run(**scenario_kwargs)
 
-    def test_mobile_experiment_identical(self, monkeypatch):
+    def test_static_experiment_identical(self):
+        assert self._run() == self._run_reference()
+
+    def test_mobile_experiment_identical(self):
         kwargs = dict(mobility="waypoint", speed_max=8.0)
-        assert (self._run(monkeypatch, True, **kwargs)
-                == self._run(monkeypatch, False, **kwargs))
+        assert self._run(**kwargs) == self._run_reference(**kwargs)
 
-    def test_adversarial_shadowing_experiment_identical(self, monkeypatch):
+    def test_adversarial_shadowing_experiment_identical(self):
         kwargs = dict(propagation="shadowing",
                       adversaries=AdversaryMix.mute(2))
-        assert (self._run(monkeypatch, True, **kwargs)
-                == self._run(monkeypatch, False, **kwargs))
+        assert self._run(**kwargs) == self._run_reference(**kwargs)
 
-    def test_results_are_comparable(self, monkeypatch):
-        result = self._run(monkeypatch, True)
+    def test_results_are_comparable(self):
+        result = self._run()
         assert dataclasses.is_dataclass(result)
         assert result.delivery_ratio > 0

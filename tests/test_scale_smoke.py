@@ -18,7 +18,7 @@ pytestmark = pytest.mark.scale
 def test_vectorized_n2000_experiment():
     result = run_experiment(ExperimentConfig(
         scenario=ScenarioConfig(n=2000, seed=1),
-        protocol="flooding", medium="vectorized",
+        protocol="flooding",
         message_count=1, message_interval=1.0, warmup=2.0, drain=8.0))
     assert result.n == 2000
     assert result.delivery_ratio > 0.95
@@ -29,7 +29,7 @@ def test_vectorized_n2000_experiment():
 def test_fluid_cross_validation_stays_calibrated():
     config = ExperimentConfig(
         scenario=ScenarioConfig(n=80, seed=2), protocol="flooding",
-        medium="vectorized", message_count=2, message_interval=1.5,
+        message_count=2, message_interval=1.5,
         warmup=6.0, drain=10.0)
     rows = cross_validate(config, ns=(80, 160))
     assert [row["n"] for row in rows] == [80, 160]

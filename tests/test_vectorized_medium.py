@@ -1,13 +1,13 @@
-"""Property suite: the vectorized medium is pinned to the scalar media.
+"""Property suite: the vectorized medium is pinned to the scalar scan.
 
-``tests/test_medium_grid_equivalence.py`` pins three-way equivalence on
-a fixed set of seeded scenarios; this suite closes the generator gap
-with hypothesis — arbitrary placements, per-node tx ranges, mid-run
-position updates and power toggles, and knife-edge boundary distances —
-asserting bit-for-bit identical event logs (delivery *order* included)
-and ``MediumStats`` across grid / brute / vectorized, plus
-checkpoint/resume byte-identity for full experiments on the vectorized
-backend.
+``tests/test_medium_grid_equivalence.py`` pins brute-vs-vectorized
+equivalence on a fixed set of seeded scenarios; this suite closes the
+generator gap with hypothesis — arbitrary placements, per-node tx
+ranges, mid-run position updates and power toggles, and knife-edge
+boundary distances — asserting bit-for-bit identical event logs
+(delivery *order* included) and ``MediumStats`` between the reference
+scan and the vectorized medium, plus checkpoint/resume byte-identity
+for full experiments on the vectorized backend.
 """
 
 import dataclasses
@@ -26,16 +26,17 @@ from repro.radio.propagation import LogNormalShadowing, UnitDisk
 from repro.radio.vectorized import VectorizedMedium
 from repro.sim.checkpoint import config_key, load_checkpoint, \
     write_checkpoint
-from repro.sim.experiment import ExperimentConfig, build_world, \
-    finish_world, run_experiment
-from repro.workloads.scenarios import ScenarioConfig
+from repro.sim.experiment import ExperimentConfig, RivalKnobs, \
+    build_world, finish_world, run_experiment
+from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
+
+from tests.helpers import reference_medium
 
 SIDE = 400.0
 
 MEDIUM_KINDS = {
-    "grid": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=True),
-    "brute": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=False),
-    "vectorized": lambda sim, rng, prop: VectorizedMedium(sim, rng, prop),
+    "brute": Medium,
+    "vectorized": VectorizedMedium,
 }
 
 RELAXED = dict(deadline=None,
@@ -132,19 +133,18 @@ def _drop(packet):
     pass
 
 
-def assert_three_way(plan, **kwargs):
-    log_grid, stats_grid = drive(plan, "grid", **kwargs)
-    for kind in ("brute", "vectorized"):
-        log, stats = drive(plan, kind, **kwargs)
-        assert log == log_grid, kind
-        assert stats == stats_grid, kind
+def assert_equivalent(plan, **kwargs):
+    log_brute, stats_brute = drive(plan, "brute", **kwargs)
+    log_vec, stats_vec = drive(plan, "vectorized", **kwargs)
+    assert log_vec == log_brute
+    assert stats_vec == stats_brute
 
 
 class TestPropertyEquivalence:
     @settings(max_examples=40, **RELAXED)
     @given(plan=scenario_plans())
     def test_unit_disk_mixed_schedule(self, plan):
-        assert_three_way(plan)
+        assert_equivalent(plan)
 
     @settings(max_examples=25, **RELAXED)
     @given(plan=scenario_plans(with_power=False))
@@ -152,7 +152,7 @@ class TestPropertyEquivalence:
         # Shadowing samples the medium RNG per in-reach candidate: any
         # candidate-set or ordering mismatch desynchronises every
         # subsequent draw and snowballs through the log.
-        assert_three_way(plan, shadowing=True)
+        assert_equivalent(plan, shadowing=True)
 
     @settings(max_examples=40, **RELAXED)
     @given(distance_factor=st.floats(min_value=0.999999999,
@@ -171,7 +171,7 @@ class TestPropertyEquivalence:
             "ranges": [tx_range] * 3,
             "events": [(0.001, "tx", 0, 0.0, 0.0, 100, True)],
         }
-        assert_three_way(plan)
+        assert_equivalent(plan)
 
 
 class TestVectorizedBookkeeping:
@@ -227,18 +227,17 @@ class TestExperimentAndCheckpoint:
         return dataclasses.replace(result, runtime=None)
 
     def test_experiment_matches_grid_backend(self):
-        grid = run_experiment(ExperimentConfig(
-            scenario=ScenarioConfig(n=14, seed=5), medium="grid",
-            **self.FAST))
-        vec = run_experiment(ExperimentConfig(
-            scenario=ScenarioConfig(n=14, seed=5), medium="vectorized",
-            **self.FAST))
-        assert self._sans_runtime(grid) == self._sans_runtime(vec)
+        """The default (vectorized) run equals the reference-scan run."""
+        config = ExperimentConfig(scenario=ScenarioConfig(n=14, seed=5),
+                                  **self.FAST)
+        vec = run_experiment(config)
+        with reference_medium():
+            reference = run_experiment(config)
+        assert self._sans_runtime(reference) == self._sans_runtime(vec)
 
     def test_checkpoint_resume_byte_identical(self, tmp_path):
         config = ExperimentConfig(
-            scenario=ScenarioConfig(n=12, seed=4), medium="vectorized",
-            **self.FAST)
+            scenario=ScenarioConfig(n=12, seed=4), **self.FAST)
         uninterrupted = run_experiment(config)
 
         world = build_world(config)
@@ -248,8 +247,19 @@ class TestExperimentAndCheckpoint:
         assert pickle.dumps(self._sans_runtime(resumed)) \
             == pickle.dumps(self._sans_runtime(uninterrupted))
 
-    def test_medium_is_excluded_from_config_key(self):
-        keys = {config_key(ExperimentConfig(
-            scenario=ScenarioConfig(n=12, seed=3), medium=medium))
-            for medium in ("grid", "brute", "vectorized")}
-        assert len(keys) == 1
+    def test_config_keys_pinned_without_medium(self):
+        # Literal keys computed while ExperimentConfig still carried a
+        # ``medium`` field (elided from the hash): dropping the field
+        # must not re-key any stored record.
+        packet = ExperimentConfig(scenario=ScenarioConfig(n=30, seed=11))
+        fluid = ExperimentConfig(scenario=ScenarioConfig(n=500, seed=2),
+                                 protocol="flooding", tier="fluid")
+        rivals = ExperimentConfig(
+            scenario=ScenarioConfig(n=24, seed=7,
+                                    adversaries=AdversaryMix.mute(2)),
+            protocol="dolev",
+            rivals=RivalKnobs(paths_required=2, suppression_threshold=4,
+                              cpa_k=1))
+        assert config_key(packet) == "3566e3dddb1a6b6b"
+        assert config_key(fluid) == "7d0ee0e467f76348"
+        assert config_key(rivals) == "c96e5bf871e1a54a"
