@@ -10,8 +10,13 @@ dataclasses, so a message's wire bytes are a pure function of its identity
 and can be memoized.  A node both sizes (``wire_size``) and transmits
 (``encode_message``) the same object, and gossip packets rebuilt from the
 same entries compare equal — the cache collapses all of those into one
-TLV encoding.  :class:`~repro.radio.neighbors.HelloMessage` carries a
-plain-dict ``extras`` field (unhashable) and is deliberately excluded.
+TLV encoding.  :class:`~repro.radio.neighbors.HelloMessage` stays out of
+this value-keyed cache: every beacon's ``(sender, seq)`` is unique, so a
+HELLO frame could never be hit again (its ``extras`` dict is unhashable
+too).  The work a beacon's receivers share — its signed bytes and its
+parsed overlay state — is memoized per beacon instead (see
+:func:`repro.crypto.digest.signed_bytes` and
+:mod:`repro.overlay.manager`).
 """
 
 from __future__ import annotations

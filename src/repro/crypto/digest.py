@@ -4,17 +4,29 @@ All signing operations in the protocol run over a canonical byte encoding of
 the message fields, so two nodes always agree on what was signed.  The
 encoding is deliberately simple: length-prefixed fields, no external
 dependencies, stable across Python versions.
+
+Signed messages are frozen, so their canonical bytes are a pure function of
+the instance: :func:`signed_bytes` encodes them once per object and every
+later signer or verifier of that object reuses the bytes.  One HELLO beacon
+is verified by each of its ~20 receivers, one gossip entry on every gossip
+period.  Only bytes are memoized, never a verification verdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
-from typing import Iterable, Union
+from typing import Any, Callable, Iterable, TypeVar, Union
 
-__all__ = ["sha256", "digest_int", "encode_fields", "Fieldable"]
+__all__ = ["sha256", "digest_int", "encode_fields", "signed_bytes",
+           "signed_copy", "Fieldable"]
 
 Fieldable = Union[bytes, str, int, float]
+Signed = TypeVar("Signed")
+
+#: Instance attribute holding a message's memoized signed bytes.
+_MEMO = "_signed_cache"
 
 
 def sha256(data: bytes) -> bytes:
@@ -63,3 +75,29 @@ def encode_fields(fields: Iterable[Fieldable]) -> bytes:
     distinct field sequences produce the same encoding.
     """
     return b"".join(_encode_one(field) for field in fields)
+
+
+def signed_bytes(message: Any) -> bytes:
+    """``encode_fields(message.signed_fields())``, memoized on the instance.
+
+    ``message`` must be a frozen dataclass, so its ``signed_fields`` never
+    change.  The memo lives on the instance and cannot leak between
+    distinct messages.
+    """
+    cached = getattr(message, _MEMO, None)
+    if cached is None:
+        cached = encode_fields(message.signed_fields())
+        object.__setattr__(message, _MEMO, cached)
+    return cached
+
+
+def signed_copy(message: Signed, sign: Callable[[bytes], bytes]) -> Signed:
+    """``message`` with ``signature=sign(signed_bytes(message))``.
+
+    The copy keeps the memo: a ``signature`` field is never among the
+    fields it signs.
+    """
+    data = signed_bytes(message)
+    signed = dataclasses.replace(message, signature=sign(data))
+    object.__setattr__(signed, _MEMO, data)
+    return signed

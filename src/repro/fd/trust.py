@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..des.kernel import Simulator
 from ..des.timers import PeriodicTask
@@ -144,13 +144,20 @@ class TrustFailureDetector:
         return self.level(node_id) is TrustLevel.TRUSTED
 
     def untrusted_nodes(self) -> List[int]:
-        candidates = set(self._direct) | set(self._peer_reports)
-        if self._mute is not None:
-            candidates.update(self._mute.suspected_nodes())
-        if self._verbose is not None:
-            candidates.update(self._verbose.suspected_nodes())
-        return sorted(node for node in candidates
-                      if self.level(node) is TrustLevel.UNTRUSTED)
+        return sorted(self._below(TrustLevel.UNKNOWN))
+
+    def trusted_subset(self, node_ids: List[int],
+                       minimum: TrustLevel = TrustLevel.TRUSTED) -> List[int]:
+        """``[n for n in node_ids if self.level(n) >= minimum]`` in one pass.
+
+        Gathers the few ids below ``minimum`` once instead of asking
+        :meth:`level` per id; returns ``node_ids`` itself when no id at
+        all is below ``minimum``.
+        """
+        below = self._below(minimum)
+        if not below:
+            return node_ids
+        return [n for n in node_ids if n not in below]
 
     def history(self, node_id: int) -> List[Tuple[float, SuspicionReason]]:
         record = self._direct.get(node_id)
@@ -166,6 +173,25 @@ class TrustFailureDetector:
         self._aging.stop()
 
     # ------------------------------------------------------------------
+    def _below(self, minimum: TrustLevel) -> Set[int]:
+        """Every node whose :meth:`level` is below ``minimum``."""
+        below: Set[int] = set()
+        if minimum is TrustLevel.UNTRUSTED:
+            return below
+        if self._mute is not None:
+            below.update(self._mute.suspected_nodes())
+        if self._verbose is not None:
+            below.update(self._verbose.suspected_nodes())
+        threshold = self._config.direct_threshold
+        below.update(node for node, record in self._direct.items()
+                     if record.count >= threshold)
+        if minimum is TrustLevel.TRUSTED:
+            now, ttl = self._sim.now, self._config.peer_report_ttl
+            below.update(node for node, report_time
+                         in self._peer_reports.items()
+                         if now - report_time < ttl)
+        return below
+
     def _locally_suspected(self, node_id: int) -> bool:
         if self._mute is not None and self._mute.suspected(node_id):
             return True

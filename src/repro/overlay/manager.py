@@ -23,7 +23,7 @@ The manager wires together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..des.kernel import Simulator
 from ..des.timers import PeriodicTask
@@ -35,6 +35,46 @@ from .state import ElectionRule, LocalView, NeighborReport, NodeStatus
 __all__ = ["OverlayConfig", "OverlayManager"]
 
 _EXTRAS_KEY = "ov"
+
+
+#: The receiver-independent part of a neighbour's piggybacked state:
+#: status, MIS claim, neighbours, MIS neighbours, suspects.
+_ParsedState = Tuple[NodeStatus, bool, FrozenSet[int], FrozenSet[int],
+                     FrozenSet[int]]
+
+
+def _parse_state(state: Dict[str, Any]) -> Optional[_ParsedState]:
+    """Parse one piggybacked overlay state; None when it is malformed."""
+    try:
+        status = NodeStatus(state.get("status", "passive"))
+        neighbors = frozenset(int(n) for n in state.get("nbrs", ()))
+        mis_neighbors = frozenset(int(n) for n in state.get("misnbrs", ()))
+        suspects = frozenset(int(n) for n in state.get("suspects", ()))
+        mis = bool(state.get("mis", False))
+    except (TypeError, ValueError):
+        return None
+    return status, mis, neighbors, mis_neighbors, suspects
+
+
+#: Parses of the most recent beacons' states, keyed by the state dict's
+#: identity.  Every receiver of one beacon gets the same dict object, and
+#: a sent HELLO's extras are never mutated, so the parse is done once per
+#: beacon.  Each entry holds the dict itself, so no other object can take
+#: its id while the entry lives; the oldest entry is evicted past the bound.
+_PARSED: Dict[int, Tuple[Dict[str, Any], Optional[_ParsedState]]] = {}
+_PARSED_BOUND = 256
+
+
+def _parsed_state(state: Dict[str, Any]) -> Optional[_ParsedState]:
+    """:func:`_parse_state`, computed once per state object."""
+    entry = _PARSED.get(id(state))
+    if entry is not None:
+        return entry[1]
+    parsed = _parse_state(state)
+    if len(_PARSED) >= _PARSED_BOUND:
+        del _PARSED[next(iter(_PARSED))]
+    _PARSED[id(state)] = (state, parsed)
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -111,18 +151,14 @@ class OverlayManager:
         Excludes UNTRUSTED nodes — "correct nodes do not consider mute and
         verbose nodes as their overlay neighbors".
         """
-        result = []
-        for neighbor in self._neighbors.neighbors():
-            if self._trust.level(neighbor) is TrustLevel.UNTRUSTED:
-                continue
-            report = self._fresh_report(neighbor)
-            if report is not None and report.status is NodeStatus.ACTIVE:
-                result.append(neighbor)
-        return result
+        candidates = self._trust.trusted_subset(self._neighbors.neighbors(),
+                                                TrustLevel.UNKNOWN)
+        return [n for n in candidates
+                if (report := self._fresh_report(n)) is not None
+                and report.status is NodeStatus.ACTIVE]
 
     def trusted_neighbors(self) -> List[int]:
-        return [n for n in self._neighbors.neighbors()
-                if self._trust.level(n) is TrustLevel.TRUSTED]
+        return self._trust.trusted_subset(self._neighbors.neighbors())
 
     def neighbor_report(self, node_id: int) -> Optional[NeighborReport]:
         return self._reports.get(node_id)
@@ -174,18 +210,18 @@ class OverlayManager:
     # State exchange (piggybacked on HELLOs)
     # ------------------------------------------------------------------
     def _publish_state(self) -> Dict[str, Any]:
-        suspects = tuple(self._trust.untrusted_nodes())
-        mis_adjacent = tuple(sorted(
-            n for n in self.trusted_neighbors()
+        neighbors = self._neighbors.neighbors()  # sorted, as is any subset
+        mis_adjacent = tuple(
+            n for n in self._trust.trusted_subset(neighbors)
             if (report := self._fresh_report(n)) is not None
-            and report.mis_member))
+            and report.mis_member)
         return {
             _EXTRAS_KEY: {
                 "status": self._status.value,
                 "mis": self._mis,
-                "nbrs": tuple(self._neighbors.neighbors()),
+                "nbrs": tuple(neighbors),
                 "misnbrs": mis_adjacent,
-                "suspects": suspects,
+                "suspects": tuple(self._trust.untrusted_nodes()),
             }
         }
 
@@ -194,15 +230,10 @@ class OverlayManager:
         state = extras.get(_EXTRAS_KEY)
         if not isinstance(state, dict):
             return
-        try:
-            status = NodeStatus(state.get("status", "passive"))
-            neighbors = frozenset(int(n) for n in state.get("nbrs", ()))
-            mis_neighbors = frozenset(int(n)
-                                      for n in state.get("misnbrs", ()))
-            suspects = frozenset(int(n) for n in state.get("suspects", ()))
-            mis = bool(state.get("mis", False))
-        except (TypeError, ValueError):
+        parsed = _parsed_state(state)
+        if parsed is None:
             return  # malformed state from a Byzantine node: ignore
+        status, mis, neighbors, mis_neighbors, suspects = parsed
         self._reports[sender] = NeighborReport(
             status=status, mis_member=mis, neighbors=neighbors,
             mis_neighbors=mis_neighbors, suspects=suspects,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from .. import codec
-from ..crypto.digest import encode_fields
+from ..crypto.digest import signed_bytes, signed_copy
 from ..crypto.keystore import KeyDirectory, Signer
 from ..des.kernel import Simulator
 from ..des.random import RandomStream
@@ -124,12 +124,10 @@ class NeighborService:
         for provider in self._providers:
             extras.update(provider())
         self._seq += 1
-        signature = b""
-        if self._signer is not None:
-            signature = self._signer.sign(
-                encode_fields((self._radio.node_id, self._seq)))
         hello = HelloMessage(sender=self._radio.node_id, seq=self._seq,
-                             extras=extras, signature=signature)
+                             extras=extras)
+        if self._signer is not None:
+            hello = signed_copy(hello, self._signer.sign)
         self._radio.send(hello, size_bytes=self._wire_size(hello),
                          kind=HELLO_KIND)
 
@@ -147,8 +145,9 @@ class NeighborService:
         if not isinstance(payload, HelloMessage):
             return False
         if self._directory is not None:
-            encoded = encode_fields(payload.signed_fields())
-            if not self._directory.verify(payload.sender, encoded,
+            # Every receiver verifies; only the bytes are shared per beacon.
+            if not self._directory.verify(payload.sender,
+                                          signed_bytes(payload),
                                           payload.signature):
                 self.bad_signature_count += 1
                 return True

@@ -14,12 +14,14 @@ from repro.core.protocol import (
     NodeBehavior,
     StaticOverlayPort,
 )
+from repro.crypto.digest import encode_fields
 from repro.crypto.keystore import HmacScheme, KeyDirectory
 from repro.des.kernel import Simulator
 from repro.des.random import StreamFactory
 from repro.fd.mute import MuteConfig, MuteFailureDetector
-from repro.fd.trust import TrustFailureDetector
+from repro.fd.trust import TrustFailureDetector, TrustLevel
 from repro.fd.verbose import VerboseConfig, VerboseFailureDetector
+from repro.overlay import manager as overlay_manager
 from repro.radio.geometry import Position
 from repro.radio.medium import Medium
 from repro.radio.packet import BROADCAST, Packet
@@ -32,6 +34,30 @@ def reference_medium() -> Iterator[None]:
     ``VectorizedMedium`` that ``build_world`` constructs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.sim.experiment.VectorizedMedium", Medium)
+        yield
+
+
+def _reference_trusted_subset(self, node_ids, minimum=TrustLevel.TRUSTED):
+    return [n for n in node_ids if self.level(n) >= minimum]
+
+
+def _reference_signed_bytes(message) -> bytes:
+    return encode_fields(message.signed_fields())
+
+
+@contextmanager
+def reference_control_plane() -> Iterator[None]:
+    """Inside the block the HELLO/overlay control plane runs without its
+    per-beacon memos: every receiver encodes a HELLO's signed bytes and
+    parses its overlay state itself, and trust filters ask
+    :meth:`TrustFailureDetector.level` node by node."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.radio.neighbors.signed_bytes",
+                      _reference_signed_bytes)
+        patch.setattr("repro.overlay.manager._parsed_state",
+                      overlay_manager._parse_state)
+        patch.setattr(TrustFailureDetector, "trusted_subset",
+                      _reference_trusted_subset)
         yield
 
 
